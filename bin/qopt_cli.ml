@@ -11,14 +11,31 @@
 
 open Relalg
 
-let load = function
-  | "emp" ->
-    let w = Workload.Schemas.emp_dept ~emps:5000 ~depts:100 () in
-    (w.Workload.Schemas.cat, w.Workload.Schemas.db)
-  | "star" ->
-    let w = Workload.Schemas.star ~fact_rows:20000 ~dim_rows:100 ~dims:3 () in
-    (w.Workload.Schemas.cat, w.Workload.Schemas.db)
-  | s -> failwith ("unknown demo database: " ^ s ^ " (use emp or star)")
+let in_span spans name g =
+  match spans with None -> g () | Some r -> Obs.Span.with_span r name g
+
+(* Build the demo database, then ANALYZE it, each in its own span. *)
+let load ?spans db_name =
+  let cat =
+    in_span spans "build" @@ fun () ->
+    match db_name with
+    | "emp" ->
+      let w =
+        Workload.Schemas.emp_dept ~emps:5000 ~depts:100 ~analyze:false ()
+      in
+      w.Workload.Schemas.cat
+    | "star" ->
+      let w =
+        Workload.Schemas.star ~fact_rows:20000 ~dim_rows:100 ~dims:3
+          ~analyze:false ()
+      in
+      w.Workload.Schemas.cat
+    | s -> failwith ("unknown demo database: " ^ s ^ " (use emp or star)")
+  in
+  let db =
+    in_span spans "analyze" (fun () -> Stats.Table_stats.analyze_catalog cat)
+  in
+  (cat, db)
 
 let optimizer_config = function
   | "systemr" -> Core.Pipeline.default_config
@@ -31,15 +48,10 @@ let optimizer_config = function
 (* Parse and bind as separate steps so they show up as the first two
    spans of the query's telemetry tree. *)
 let with_query ?spans db_name sql f =
-  let in_span name g =
-    match spans with
-    | None -> g ()
-    | Some r -> Obs.Span.with_span r name g
-  in
-  let cat, db = in_span "load" (fun () -> load db_name) in
+  let cat, db = in_span spans "load" (fun () -> load ?spans db_name) in
   match
-    let stmts = in_span "parse" (fun () -> Sql.Parser.parse sql) in
-    in_span "bind" (fun () -> Sql.Binder.bind_script cat stmts)
+    let stmts = in_span spans "parse" (fun () -> Sql.Parser.parse sql) in
+    in_span spans "bind" (fun () -> Sql.Binder.bind_script cat stmts)
   with
   | q -> f cat db q
   | exception Sql.Parser.Error m ->

@@ -338,22 +338,32 @@ let rec plannable (b : Rewrite.Qgm.block) : bool =
 
 let tmp_counter = ref 0
 
+(* Drop view temporaries from the catalog and the statistics registry. *)
+let drop_temps cat db temps =
+  List.iter
+    (fun t ->
+       Storage.Catalog.remove_table cat t;
+       Hashtbl.remove db t)
+    temps
+
 (* Materialize a derived source into a temporary table registered in the
-   catalog and statistics registry; returns the replacement Base source, the
-   temp name, and the estimated cost spent.  With [exec_views:false] (plain
-   EXPLAIN) the view is planned but never executed: the temporary stays
-   empty and its statistics are fabricated from the sub-plan's estimated
-   cardinality, so the outer block still costs against realistic row
-   counts.  [on_view] sees each view's (alias, plan) for display. *)
-let rec materialize_source ~on_plan ~trace ~exec_views ~on_view ctx config cat
-    db (s : Rewrite.Qgm.source) :
-  Rewrite.Qgm.source * string list * float * Systemr.Join_order.counters =
+   catalog and statistics registry, and in [made] the moment it exists;
+   returns the replacement Base source and the estimated cost spent.  With
+   [exec_views:false] (plain EXPLAIN) the view is planned but never
+   executed: the temporary stays empty and its statistics are fabricated
+   from the sub-plan's estimated cardinality, so the outer block still
+   costs against realistic row counts.  [on_view] sees each view's (alias,
+   plan) for display. *)
+let rec materialize_source ~made ~on_plan ~trace ~exec_views ~on_view ctx
+    config cat db (s : Rewrite.Qgm.source) :
+  Rewrite.Qgm.source * float * Systemr.Join_order.counters =
   match s with
-  | Rewrite.Qgm.Base _ -> (s, [], 0., Systemr.Join_order.counters_zero)
+  | Rewrite.Qgm.Base _ -> (s, 0., Systemr.Join_order.counters_zero)
   | Rewrite.Qgm.Derived { block; alias } ->
     span config ~attrs:[ ("alias", alias) ] "view" @@ fun () ->
-    let plan, cost, enum, temps =
-      plan_block ~on_plan ?trace ~exec_views ~on_view ctx config cat db block
+    let plan, cost, enum =
+      plan_into ~made ~on_plan ?trace ~exec_views ~on_view ctx config cat db
+        block
     in
     incr tmp_counter;
     let tmp_name = Printf.sprintf "__mat%d_%s" !tmp_counter alias in
@@ -362,6 +372,7 @@ let rec materialize_source ~on_plan ~trace ~exec_views ~on_view ctx config cat
       List.map (fun (c : Schema.column) -> (c.Schema.name, c.Schema.ty)) schema
     in
     let table = Storage.Catalog.create_table cat ~name:tmp_name ~columns in
+    made := tmp_name :: !made;
     if exec_views then begin
       let result = exec_plan config ~ctx cat db plan in
       Array.iter (Storage.Table.insert table) result.Exec.Executor.rows;
@@ -385,7 +396,6 @@ let rec materialize_source ~on_plan ~trace ~exec_views ~on_view ctx config cat
     ( Rewrite.Qgm.Base
         { table = tmp_name; alias;
           schema = Schema.requalify table.Storage.Table.schema ~rel:alias },
-      tmp_name :: temps,
       cost,
       enum )
 
@@ -412,31 +422,31 @@ and attach_join cat kind (plan : Exec.Plan.t) (plan_aliases : string list)
     Exec.Plan.Nested_loop
       { kind; pred; outer = plan; inner = Exec.Plan.Materialize scan }
 
-(* Plan a single plannable block.  Returns (plan, estimated cost, plans
-   costed, temp tables created).  [on_plan] sees every finished plan —
-   including the sub-plans of materialized views, while their temporary
-   tables are still in the catalog — which is where the linter hooks in. *)
-and plan_block ?(on_plan = fun (_ : Exec.Plan.t) -> ()) ?trace
+(* Plan a single plannable block, registering the view temporaries it makes
+   in [made].  Returns (plan, estimated cost, plans costed).  [on_plan] sees
+   every finished plan — including the sub-plans of materialized views,
+   while their temporary tables are still in the catalog — which is where
+   the linter hooks in. *)
+and plan_into ~made ?(on_plan = fun (_ : Exec.Plan.t) -> ()) ?trace
     ?(exec_views = true) ?(on_view = fun _ (_ : Exec.Plan.t) -> ()) ctx config
     cat db (b : Rewrite.Qgm.block) :
-  Exec.Plan.t * float * Systemr.Join_order.counters * string list =
+  Exec.Plan.t * float * Systemr.Join_order.counters =
   (* 1. materialize derived sources *)
   let mat sources =
     List.fold_left
-      (fun (acc, temps, cost, enum) s ->
-         let s', t, c, e =
-           materialize_source ~on_plan ~trace ~exec_views ~on_view ctx config
-             cat db s
+      (fun (acc, cost, enum) s ->
+         let s', c, e =
+           materialize_source ~made ~on_plan ~trace ~exec_views ~on_view ctx
+             config cat db s
          in
-         (acc @ [ s' ], temps @ t, cost +. c,
-          Systemr.Join_order.counters_add enum e))
-      ([], [], 0., Systemr.Join_order.counters_zero) sources
+         (acc @ [ s' ], cost +. c, Systemr.Join_order.counters_add enum e))
+      ([], 0., Systemr.Join_order.counters_zero) sources
   in
-  let from, temps1, cost1, enum1 = mat b.Rewrite.Qgm.from in
-  let sj_sources, temps2, cost2, enum2 =
+  let from, cost1, enum1 = mat b.Rewrite.Qgm.from in
+  let sj_sources, cost2, enum2 =
     mat (List.map (fun s -> s.Rewrite.Qgm.s_source) b.Rewrite.Qgm.semijoins)
   in
-  let oj_sources, temps3, cost3, enum3 =
+  let oj_sources, cost3, enum3 =
     mat (List.map (fun o -> o.Rewrite.Qgm.o_source) b.Rewrite.Qgm.outerjoins)
   in
   (* 2. optimize the inner-join core with the System-R enumerator *)
@@ -538,8 +548,22 @@ and plan_block ?(on_plan = fun (_ : Exec.Plan.t) -> ()) ?trace
   ( !plan,
     !cost +. cost1 +. cost2 +. cost3,
     List.fold_left Systemr.Join_order.counters_add
-      res.Systemr.Join_order.counters [ enum1; enum2; enum3 ],
-    temps1 @ temps2 @ temps3 )
+      res.Systemr.Join_order.counters [ enum1; enum2; enum3 ] )
+
+(* [plan_into] returning the temporaries too, for the caller to drop once
+   the plan has run.  If planning raises, the temporaries already made are
+   dropped before the exception propagates. *)
+let plan_block ?on_plan ?trace ?exec_views ?on_view ctx config cat db b =
+  let made = ref [] and planned = ref false in
+  Fun.protect
+    ~finally:(fun () -> if not !planned then drop_temps cat db !made)
+    (fun () ->
+       let plan, cost, enum =
+         plan_into ~made ?on_plan ?trace ?exec_views ?on_view ctx config cat db
+           b
+       in
+       planned := true;
+       (plan, cost, enum, List.rev !made))
 
 (* ------------------------------------------------------------------ *)
 (* Entry point *)
@@ -632,6 +656,8 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
       stage config "optimize" @@ fun () ->
       plan_block ~on_plan:h.on_plan ?trace:h.trace ctx config cat db rewritten
     in
+    (* the temporaries go when the block is done, also when it raises *)
+    Fun.protect ~finally:(fun () -> drop_temps cat db temps) @@ fun () ->
     (* snapshot the statistics the planner consulted — view temporaries
        included — before execution can change anything *)
     let stats_at_plan = Hashtbl.copy db in
@@ -711,11 +737,6 @@ let run_block ~ctx ~config (cat : Storage.Catalog.t)
                  | None -> ()))
          (Exec.Instrument.ops r)
      | _ -> ());
-    List.iter
-      (fun t ->
-         Storage.Catalog.remove_table cat t;
-         Hashtbl.remove db t)
-      temps;
     Obs.Metrics.incr Obs.Metrics.blocks_planned;
     (match recorder with
      | Some r when config.instrument -> (
@@ -798,11 +819,7 @@ let explain ?(config = default_config) cat db block : string =
           ~on_view:(fun alias p -> views := (alias, p) :: !views)
           ctx config cat db rewritten
       in
-      List.iter
-        (fun t ->
-           Storage.Catalog.remove_table cat t;
-           Hashtbl.remove db t)
-        temps;
+      drop_temps cat db temps;
       let views_s =
         List.rev_map
           (fun (alias, p) ->

@@ -128,7 +128,9 @@ val plannable : Rewrite.Qgm.block -> bool
     optimizer-trace sink threaded into the join enumerator.  With
     [exec_views:false] derived sources are planned but not executed: their
     temporaries stay empty, carry estimate-derived statistics, and
-    [on_view] sees each view's (alias, plan). *)
+    [on_view] sees each view's (alias, plan).  If planning raises, the
+    temporaries made so far are dropped before the exception propagates;
+    on success the caller drops the returned ones. *)
 val plan_block :
   ?on_plan:(Exec.Plan.t -> unit) ->
   ?trace:(Obs.Trace.event -> unit) ->

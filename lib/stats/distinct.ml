@@ -4,24 +4,21 @@
    estimator there is a data distribution with large error.  We implement
    the classical estimators so experiment E9 can exhibit exactly that. *)
 
-let exact (values : float array) : int =
-  let tbl = Hashtbl.create 1024 in
-  Array.iter (fun v -> Hashtbl.replace tbl v ()) values;
-  Hashtbl.length tbl
+(* Multiplicity of each distinct value. *)
+let multiplicities (values : float array) : int array =
+  let sorted = Array.copy values in
+  Array.sort Float.compare sorted;
+  snd (Histogram.runs sorted)
+
+let exact (values : float array) : int = Array.length (multiplicities values)
 
 (* sample frequency-of-frequencies: f.(i) = number of values occurring
    exactly i+1 times in the sample *)
 let freq_of_freq (sample : float array) : int array * int =
-  let counts = Hashtbl.create 1024 in
-  Array.iter
-    (fun v ->
-       Hashtbl.replace counts v (1 + Option.value (Hashtbl.find_opt counts v) ~default:0))
-    sample;
-  let d = Hashtbl.length counts in
-  let max_c = Hashtbl.fold (fun _ c acc -> max c acc) counts 0 in
-  let f = Array.make (max 1 max_c) 0 in
-  Hashtbl.iter (fun _ c -> f.(c - 1) <- f.(c - 1) + 1) counts;
-  (f, d)
+  let counts = multiplicities sample in
+  let f = Array.make (Array.fold_left max 1 counts) 0 in
+  Array.iter (fun c -> f.(c - 1) <- f.(c - 1) + 1) counts;
+  (f, Array.length counts)
 
 (* Naive scale-up: assume sample distinct ratio holds in the full table. *)
 let scale_up ~population:bign (sample : float array) : float =

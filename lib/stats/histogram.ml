@@ -24,32 +24,39 @@ type t = {
 
 let total t = t.total
 
-let empty = { total = 0.; singletons = [||]; buckets = [||] }
-
-(* Frequency table of a sorted array: (value, count) pairs. *)
-let frequencies (sorted : float array) : (float * int) list =
+let runs (sorted : float array) : float array * int array =
   let n = Array.length sorted in
-  let rec go i acc =
-    if i >= n then List.rev acc
-    else
-      let v = sorted.(i) in
-      let j = ref i in
-      while !j < n && sorted.(!j) = v do incr j done;
-      go !j ((v, !j - i) :: acc)
-  in
-  go 0 []
+  let starts_run i = i = 0 || Float.compare sorted.(i) sorted.(i - 1) <> 0 in
+  let m = ref 0 in
+  for i = 0 to n - 1 do if starts_run i then incr m done;
+  let vs = Array.make !m 0. and cs = Array.make !m 0 and r = ref (-1) in
+  for i = 0 to n - 1 do
+    if starts_run i then begin
+      incr r;
+      vs.(!r) <- sorted.(i)
+    end;
+    cs.(!r) <- cs.(!r) + 1
+  done;
+  (vs, cs)
 
-let bucket_of_freqs (fs : (float * int) list) : bucket option =
-  match fs with
-  | [] -> None
-  | (v0, _) :: _ ->
-    let hi, count, distinct =
-      List.fold_left
-        (fun (_, c, d) (v, k) -> (v, c + k, d + 1))
-        (v0, 0, 0) fs
-    in
-    Some { lo = v0; hi; count = float_of_int count;
-           distinct = float_of_int distinct }
+(* Cut runs into consecutive buckets, closing the open bucket before run
+   [r] when [cut r rows] holds ([rows]: rows already in the open bucket). *)
+let cut_runs ((vs, cs) : float array * int array) cut : bucket array =
+  let out = ref [] and start = ref 0 and rows = ref 0 in
+  let close r =
+    out :=
+      { lo = vs.(!start); hi = vs.(r - 1); count = float_of_int !rows;
+        distinct = float_of_int (r - !start) } :: !out;
+    start := r;
+    rows := 0
+  in
+  Array.iteri
+    (fun r c ->
+       if r > !start && cut r !rows then close r;
+       rows := !rows + c)
+    cs;
+  if cs <> [||] then close (Array.length cs);
+  Array.of_list (List.rev !out)
 
 let of_buckets buckets singletons =
   let total =
@@ -58,81 +65,65 @@ let of_buckets buckets singletons =
   in
   { total; singletons; buckets }
 
-let build_equi_width ~buckets:k (values : float array) : t =
-  if Array.length values = 0 then empty
+(* Greedy fill: close a bucket when it would pass the target depth; a
+   single heavy value may overflow its bucket (values are never split). *)
+let equi_depth ~buckets:k ((_, cs) as runs) =
+  if Array.length cs = 0 then [||]
+  else
+    let target = max 1 (Array.fold_left ( + ) 0 cs / k) in
+    cut_runs runs (fun r rows -> rows + cs.(r) > target)
+
+let equi_width ~buckets:k (sorted : float array) =
+  let n = Array.length sorted in
+  if n = 0 then [||]
   else begin
-    let sorted = Array.copy values in
-    Array.sort Float.compare sorted;
-    let fs = frequencies sorted in
-    let lo = sorted.(0) and hi = sorted.(Array.length sorted - 1) in
+    let lo = sorted.(0) and hi = sorted.(n - 1) in
     let width = if hi > lo then (hi -. lo) /. float_of_int k else 1. in
     let bucket_index v =
       if width <= 0. then 0
       else min (k - 1) (int_of_float ((v -. lo) /. width))
     in
-    let parts = Array.make k [] in
-    List.iter (fun (v, c) -> let i = bucket_index v in parts.(i) <- (v, c) :: parts.(i)) fs;
-    let bs =
-      Array.to_list parts
-      |> List.filter_map (fun part -> bucket_of_freqs (List.rev part))
-      |> Array.of_list
-    in
-    of_buckets bs [||]
+    let ((vs, _) as runs) = runs sorted in
+    (* indices never decrease along a sorted array *)
+    cut_runs runs (fun r _ -> bucket_index vs.(r) <> bucket_index vs.(r - 1))
   end
 
-let build_equi_depth ~buckets:k (values : float array) : t =
-  if Array.length values = 0 then empty
-  else begin
-    let sorted = Array.copy values in
-    Array.sort Float.compare sorted;
-    let fs = frequencies sorted in
-    let n = Array.length sorted in
-    let target = max 1 (n / k) in
-    (* greedy fill: close a bucket when it reaches the target depth; a single
-       heavy value may overflow its bucket (values are never split) *)
-    let rec fill cur cur_n acc = function
-      | [] ->
-        let acc = match bucket_of_freqs (List.rev cur) with
-          | Some b -> b :: acc | None -> acc in
-        List.rev acc
-      | (v, c) :: rest ->
-        if cur_n > 0 && cur_n + c > target then
-          let acc = match bucket_of_freqs (List.rev cur) with
-            | Some b -> b :: acc | None -> acc in
-          fill [ (v, c) ] c acc rest
-        else fill ((v, c) :: cur) (cur_n + c) acc rest
-    in
-    of_buckets (Array.of_list (fill [] 0 [] fs)) [||]
-  end
+(* The [s] most frequent values (ties: the lower value) become singleton
+   buckets; the rest is equi-depth. *)
+let compressed ~buckets ~singletons:s sorted =
+  let vs, cs = runs sorted in
+  let by_freq = Array.init (Array.length cs) Fun.id in
+  Array.stable_sort (fun a b -> Int.compare cs.(b) cs.(a)) by_freq;
+  let top = Array.make (Array.length cs) false in
+  Array.iteri (fun i r -> if i < s then top.(r) <- true) by_freq;
+  let pick keep a =
+    Array.of_list (List.filteri (fun r _ -> top.(r) = keep) (Array.to_list a))
+  in
+  of_buckets
+    (equi_depth ~buckets (pick false vs, pick false cs))
+    (Array.map2 (fun v c -> (v, float_of_int c)) (pick true vs) (pick true cs))
 
-let build_compressed ~buckets:k ~singletons:s (values : float array) : t =
-  if Array.length values = 0 then empty
-  else begin
-    let sorted = Array.copy values in
-    Array.sort Float.compare sorted;
-    let fs = frequencies sorted in
-    (* top-s most frequent values become singleton buckets *)
-    let by_freq =
-      List.sort (fun (_, a) (_, b) -> Stdlib.compare b a) fs
-    in
-    let rec take n = function
-      | [] -> [] | x :: r -> if n = 0 then [] else x :: take (n - 1) r
-    in
-    let top = take s by_freq in
-    let is_top v = List.exists (fun (w, _) -> w = v) top in
-    let rest = List.filter (fun (v, _) -> not (is_top v)) fs in
-    let rest_hist =
-      build_equi_depth ~buckets:k
-        (Array.of_list
-           (List.concat_map (fun (v, c) -> List.init c (fun _ -> v)) rest))
-    in
-    let singles =
-      List.map (fun (v, c) -> (v, float_of_int c)) top
-      |> List.sort (fun (a, _) (b, _) -> Float.compare a b)
-      |> Array.of_list
-    in
-    of_buckets rest_hist.buckets singles
-  end
+type kind = Equi_width | Equi_depth | Compressed
+
+let of_sorted kind ~buckets sorted =
+  match kind with
+  | Equi_width -> of_buckets (equi_width ~buckets sorted) [||]
+  | Equi_depth -> of_buckets (equi_depth ~buckets (runs sorted)) [||]
+  | Compressed ->
+    compressed ~buckets:(max 1 (buckets - buckets / 4))
+      ~singletons:(buckets / 4) sorted
+
+let sorted_copy values =
+  let sorted = Array.copy values in
+  Array.sort Float.compare sorted;
+  sorted
+
+let build kind ~buckets values = of_sorted kind ~buckets (sorted_copy values)
+let build_equi_width = build Equi_width
+let build_equi_depth = build Equi_depth
+
+let build_compressed ~buckets ~singletons values =
+  compressed ~buckets ~singletons (sorted_copy values)
 
 (* ------------------------------------------------------------------ *)
 (* Estimation *)

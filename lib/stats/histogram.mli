@@ -17,7 +17,18 @@ type t = {
 }
 
 val total : t -> float
-val empty : t
+
+(** Runs of equal values (by [Float.compare]) of a sorted array: each
+    run's first value and length. *)
+val runs : float array -> float array * int array
+
+(** Compressed gives a quarter of the buckets to singletons. *)
+type kind = Equi_width | Equi_depth | Compressed
+
+(** A histogram over data sorted by [Float.compare] ({!build} sorts). *)
+val of_sorted : kind -> buckets:int -> float array -> t
+
+val build : kind -> buckets:int -> float array -> t
 
 val build_equi_width : buckets:int -> float array -> t
 val build_equi_depth : buckets:int -> float array -> t

@@ -28,20 +28,14 @@ let scale_histogram (h : Histogram.t) ~factor : Histogram.t =
         (fun b -> { b with count = b.count *. factor })
         h.buckets }
 
-type kind = Equi_width | Equi_depth | Compressed
+type kind = Histogram.kind = Equi_width | Equi_depth | Compressed
 
 let kind_name = function
   | Equi_width -> "equi-width"
   | Equi_depth -> "equi-depth"
   | Compressed -> "compressed"
 
-let build kind ~buckets values =
-  match kind with
-  | Equi_width -> Histogram.build_equi_width ~buckets values
-  | Equi_depth -> Histogram.build_equi_depth ~buckets values
-  | Compressed ->
-    Histogram.build_compressed ~buckets:(max 1 (buckets - buckets / 4))
-      ~singletons:(buckets / 4) values
+let build = Histogram.build
 
 (* Histogram built from a [fraction] sample, counts scaled to population. *)
 let sampled_histogram rng kind ~buckets ~fraction (values : float array) :

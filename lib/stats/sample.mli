@@ -8,7 +8,7 @@ val uniform_sample :
 (** Scale a histogram's counts by [factor] (sample → population). *)
 val scale_histogram : Histogram.t -> factor:float -> Histogram.t
 
-type kind = Equi_width | Equi_depth | Compressed
+type kind = Histogram.kind = Equi_width | Equi_depth | Compressed
 
 val kind_name : kind -> string
 

@@ -18,13 +18,19 @@ type emp_dept = {
   depts : int;
 }
 
+(* ANALYZE the catalog, or leave the registry empty for a caller that
+   ANALYZEs (and times) it separately. *)
+let analyze_if analyze cat =
+  if analyze then Stats.Table_stats.analyze_catalog cat
+  else Stats.Table_stats.create_db ()
+
 (* Emp(eid, name, did, dept_name, sal, age, mgr) and
    Dept(did, name, loc, budget, num_machines, mgr).
    [empty_dept_frac] controls departments with no employees (the count-bug
    experiment needs them).  Indexes: Emp(did), Emp(eid) clustered,
    Dept(did) clustered. *)
 let emp_dept ?(seed = 42) ?(emps = 2000) ?(depts = 50)
-    ?(empty_dept_frac = 0.1) () : emp_dept =
+    ?(empty_dept_frac = 0.1) ?(analyze = true) () : emp_dept =
   let st = Gen.rng seed in
   let cat = Storage.Catalog.create () in
   let dept =
@@ -66,7 +72,7 @@ let emp_dept ?(seed = 42) ?(emps = 2000) ?(depts = 50)
   ignore (Storage.Catalog.create_index cat ~clustered:true ~table:"Emp" ~column:"eid" ());
   ignore (Storage.Catalog.create_index cat ~table:"Emp" ~column:"did" ());
   ignore (Storage.Catalog.create_index cat ~clustered:true ~table:"Dept" ~column:"did" ());
-  let db = Stats.Table_stats.analyze_catalog cat in
+  let db = analyze_if analyze cat in
   { cat; db; emps; depts }
 
 (* ------------------------------------------------------------------ *)
@@ -79,8 +85,8 @@ type star = {
   dims : string list; (* dimension table names, fk column is <dim>_id *)
 }
 
-let star ?(seed = 7) ?(fact_rows = 5000) ?(dim_rows = 20) ?(dims = 3) () :
-  star =
+let star ?(seed = 7) ?(fact_rows = 5000) ?(dim_rows = 20) ?(dims = 3)
+    ?(analyze = true) () : star =
   let st = Gen.rng seed in
   let cat = Storage.Catalog.create () in
   let dim_names = List.init dims (fun i -> Printf.sprintf "Dim%d" (i + 1)) in
@@ -135,7 +141,7 @@ let star ?(seed = 7) ?(fact_rows = 5000) ?(dim_rows = 20) ?(dims = 3) () :
        ~columns:
          (List.map (fun n -> String.lowercase_ascii n ^ "_id") dim_names)
        ());
-  let db = Stats.Table_stats.analyze_catalog cat in
+  let db = analyze_if analyze cat in
   { cat; db; fact = "Sales"; dims = dim_names }
 
 (* ------------------------------------------------------------------ *)

@@ -14,10 +14,11 @@ type emp_dept = {
 (** Emp(eid, name, did, dept_name, sal, age, mgr) and Dept(did, name, loc,
     budget, num_machines, mgr); [empty_dept_frac] controls departments
     with no employees (needed by the count-bug experiments).  Indexes:
-    Emp(eid) clustered, Emp(did), Dept(did) clustered. *)
+    Emp(eid) clustered, Emp(did), Dept(did) clustered.  [~analyze:false]
+    leaves [db] empty, for a caller that ANALYZEs the catalog itself. *)
 val emp_dept :
-  ?seed:int -> ?emps:int -> ?depts:int -> ?empty_dept_frac:float -> unit ->
-  emp_dept
+  ?seed:int -> ?emps:int -> ?depts:int -> ?empty_dept_frac:float ->
+  ?analyze:bool -> unit -> emp_dept
 
 (** {2 OLAP star schema (Section 4.1.1)} *)
 
@@ -30,9 +31,10 @@ type star = {
 
 (** Sales fact plus dimension tables; per-fk indexes and a composite index
     over all foreign keys (the access path that makes dimension Cartesian
-    products worthwhile). *)
+    products worthwhile).  [~analyze:false] as for {!emp_dept}. *)
 val star :
-  ?seed:int -> ?fact_rows:int -> ?dim_rows:int -> ?dims:int -> unit -> star
+  ?seed:int -> ?fact_rows:int -> ?dim_rows:int -> ?dims:int ->
+  ?analyze:bool -> unit -> star
 
 (** {2 Chain / cycle / star / clique join workloads} *)
 

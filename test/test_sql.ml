@@ -242,6 +242,46 @@ let test_e2e_union () =
   | exception Sql.Binder.Error _ -> ()
   | _ -> Alcotest.fail "arity mismatch should not bind"
 
+(* A hook that raises on the outer plan, after the derived source has been
+   materialized: planning must drop the temporary (catalog table and
+   statistics entry) before the exception propagates. *)
+exception Hook_failed
+
+let test_temps_dropped_on_raise () =
+  let sql =
+    "SELECT D.did, D.n FROM (SELECT Emp.did AS did, COUNT(*) AS n FROM Emp \
+     GROUP BY Emp.did) D WHERE D.n > 3"
+  in
+  let block = bind sql in
+  let names () = List.sort compare (Storage.Catalog.table_names (cat ())) in
+  let stats () =
+    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) (db ()) [])
+  in
+  let names0 = names () and stats0 = stats () in
+  let temps_seen = ref [] in
+  let on_plan (_ : Exec.Plan.t) =
+    let temps =
+      List.filter
+        (fun t -> String.length t > 5 && String.sub t 0 5 = "__mat")
+        (names ())
+    in
+    (* the view's own sub-plan comes first, before its temporary exists *)
+    if temps <> [] then begin
+      temps_seen := temps;
+      raise Hook_failed
+    end
+  in
+  (match
+     Core.Pipeline.plan_block ~on_plan (Exec.Context.create ())
+       Core.Pipeline.naive_config (cat ()) (db ()) block
+   with
+   | _ -> Alcotest.fail "the hook never saw the outer plan"
+   | exception Hook_failed -> ());
+  Alcotest.(check int) "a temporary existed when the hook raised" 1
+    (List.length !temps_seen);
+  Alcotest.(check (list string)) "catalog tables restored" names0 (names ());
+  Alcotest.(check (list string)) "stats registry restored" stats0 (stats ())
+
 let () =
   Alcotest.run "sql"
     [ ("lexer", [ Alcotest.test_case "tokens" `Quick test_lexer ]);
@@ -269,4 +309,6 @@ let () =
          Alcotest.test_case "star schema" `Quick test_e2e_star_db;
          Alcotest.test_case "is null" `Quick test_e2e_is_null;
          Alcotest.test_case "union" `Quick test_e2e_union;
-         Alcotest.test_case "explain" `Quick test_e2e_explain ]) ]
+         Alcotest.test_case "explain" `Quick test_e2e_explain;
+         Alcotest.test_case "temporaries dropped on raise" `Quick
+           test_temps_dropped_on_raise ]) ]

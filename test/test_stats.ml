@@ -180,6 +180,183 @@ let test_analyze () =
   Alcotest.(check (option (float 0.01))) "lo" (Some 1.) id.Stats.Table_stats.lo;
   Alcotest.(check (option (float 0.01))) "hi" (Some 998.) id.Stats.Table_stats.hi
 
+(* ---------- one-pass ANALYZE vs. the three-pass reference ---------- *)
+
+(* The three-pass [analyze_column] that preceded the typed one-pass
+   rewrite, kept verbatim (module paths aside) as the reference spec:
+   a structural [Value.t] table for distinct counts, a boxed pass for the
+   numeric values, and a sort before [Sample.build] sorts again. *)
+module Reference = struct
+  open Stats
+  open Table_stats
+
+  let numeric_values (table : Storage.Table.t) ci : float array =
+    let out = Storage.Vec.create () in
+    Storage.Table.iter
+      (fun tu ->
+         match Value.to_float (Tuple.get tu ci) with
+         | Some f -> Storage.Vec.push out f
+         | None -> ())
+      table;
+    Storage.Vec.to_array out
+
+  let robust_bounds (sorted : float array) =
+    let n = Array.length sorted in
+    if n = 0 then (None, None)
+    else if n <= 2 then (Some sorted.(0), Some sorted.(n - 1))
+    else (Some sorted.(1), Some sorted.(n - 2))
+      (* 2nd-lowest / 2nd-highest: min and max are likely outliers (5.1.1) *)
+
+  let analyze_column ?(hist_buckets = 20) ?(hist_kind = Sample.Equi_depth)
+      (table : Storage.Table.t) cname : col_stats =
+    let ci = Storage.Table.column_index table cname in
+    let n = Storage.Table.row_count table in
+    let nulls = ref 0 in
+    let distinct = Hashtbl.create 256 in
+    Storage.Table.iter
+      (fun tu ->
+         let v = Tuple.get tu ci in
+         if Value.is_null v then incr nulls else Hashtbl.replace distinct v ())
+      table;
+    let col = List.nth table.Storage.Table.schema ci in
+    let is_numeric =
+      match col.Schema.ty with
+      | Value.Tint | Value.Tfloat -> true
+      | Value.Tbool | Value.Tstring -> false
+    in
+    let values = if is_numeric then numeric_values table ci else [||] in
+    let sorted = Array.copy values in
+    Array.sort Float.compare sorted;
+    let lo, hi = robust_bounds sorted in
+    let min_v, max_v =
+      let n = Array.length sorted in
+      if n = 0 then (None, None) else (Some sorted.(0), Some sorted.(n - 1))
+    in
+    let hist =
+      if is_numeric && Array.length values > 0 then
+        Some (Sample.build hist_kind ~buckets:hist_buckets values)
+      else None
+    in
+    { n_distinct = float_of_int (Hashtbl.length distinct);
+      null_frac = (if n = 0 then 0. else float_of_int !nulls /. float_of_int n);
+      lo;
+      hi;
+      min_v;
+      max_v;
+      hist;
+      sketch = None }
+end
+
+(* Column statistics equal to the bit: floats compared by
+   [Int64.bits_of_float], so -0.0 <> 0.0 and NaN payloads count. *)
+let same_col_stats (a : Stats.Table_stats.col_stats)
+    (b : Stats.Table_stats.col_stats) =
+  let f x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  let fo = Option.equal f in
+  let same_hist (x : Stats.Histogram.t) (y : Stats.Histogram.t) =
+    f x.total y.total
+    && Array.length x.singletons = Array.length y.singletons
+    && Array.for_all2 (fun (v, c) (w, d) -> f v w && f c d) x.singletons
+         y.singletons
+    && Array.length x.buckets = Array.length y.buckets
+    && Array.for_all2
+         (fun (p : Stats.Histogram.bucket) (q : Stats.Histogram.bucket) ->
+            f p.lo q.lo && f p.hi q.hi && f p.count q.count
+            && f p.distinct q.distinct)
+         x.buckets y.buckets
+  in
+  f a.n_distinct b.n_distinct && f a.null_frac b.null_frac && fo a.lo b.lo
+  && fo a.hi b.hi && fo a.min_v b.min_v && fo a.max_v b.max_v
+  && Option.equal same_hist a.hist b.hist
+  && a.sketch = None && b.sketch = None
+
+(* Random single-table columns: a declared type, and values that are
+   cleanly of that type, a mix of Int and Float, or a mix of every type,
+   with NULLs, heavy duplicates, -0.0, NaN, infinities and ints beyond
+   2^53. *)
+let gen_analyze_case =
+  let open QCheck.Gen in
+  let big = 1 lsl 53 in
+  let int_v =
+    oneof
+      [ map (fun i -> Value.Int i) (int_range 0 3);
+        map (fun i -> Value.Int i) (int_range (-1_000_000) 1_000_000);
+        map (fun i -> Value.Int i)
+          (oneofl [ big; big + 1; -big; -big - 1; max_int; min_int ]);
+        map (fun i -> Value.Int (big - i)) (int_range 0 2) ]
+  in
+  let float_v =
+    oneof
+      [ map (fun i -> Value.Float (float_of_int i /. 2.)) (int_range (-4) 4);
+        map (fun f -> Value.Float f)
+          (oneofl [ -0.0; 0.0; nan; -.nan; Float.of_int big +. 2.; infinity;
+                    neg_infinity ]);
+        map (fun f -> Value.Float f) (float_range (-1e6) 1e6) ]
+  in
+  let str_v = map (fun s -> Value.Str s) (oneofl [ "a"; "b"; "c"; ""; "zz" ]) in
+  let bool_v = map (fun b -> Value.Bool b) bool in
+  let col_gen =
+    let* ty = oneofl Value.[ Tint; Tfloat; Tstring; Tbool ] in
+    let typed =
+      match ty with
+      | Value.Tint -> int_v
+      | Value.Tfloat -> float_v
+      | Value.Tstring -> str_v
+      | Value.Tbool -> bool_v
+    in
+    let* v =
+      frequency
+        [ (4, return typed);
+          (1, return (oneof [ int_v; float_v ]));
+          (1, return (oneof [ int_v; float_v; str_v; bool_v ])) ]
+    in
+    let* null_pct = oneofl [ 0; 10; 60; 100 ] in
+    return
+      ( ty,
+        let* r = int_range 0 99 in
+        if r < null_pct then return Value.Null else v )
+  in
+  let* cols = list_size (int_range 1 4) col_gen in
+  let* rows =
+    let* n =
+      frequency
+        [ (1, return 0); (6, int_range 1 40); (2, int_range 100 400) ]
+    in
+    list_repeat n (flatten_l (List.map snd cols))
+  in
+  let* kind = oneofl Stats.Sample.[ Equi_width; Equi_depth; Compressed ] in
+  let* buckets = oneofl [ 1; 2; 3; 5; 20 ] in
+  return (List.map fst cols, rows, kind, buckets)
+
+let print_analyze_case (tys, rows, kind, buckets) =
+  Printf.sprintf "types=[%s] kind=%s buckets=%d rows=\n%s"
+    (String.concat "; " (List.map Value.ty_name tys))
+    (Stats.Sample.kind_name kind) buckets
+    (String.concat "\n"
+       (List.map
+          (fun r -> String.concat ", " (List.map Value.to_string r))
+          rows))
+
+let prop_analyze_matches_reference =
+  QCheck.Test.make ~name:"one-pass ANALYZE = three-pass reference, to the bit"
+    ~count:500
+    (QCheck.make ~print:print_analyze_case gen_analyze_case)
+    (fun (tys, rows, hist_kind, hist_buckets) ->
+       let t =
+         Storage.Table.create ~name:"T"
+           ~columns:(List.mapi (fun i ty -> (Printf.sprintf "c%d" i, ty)) tys)
+           ()
+       in
+       List.iter (fun r -> Storage.Table.insert t (Tuple.of_list r)) rows;
+       List.for_all
+         (fun (c : Schema.column) ->
+            same_col_stats
+              (Stats.Table_stats.analyze_column ~hist_buckets ~hist_kind t
+                 c.Schema.name)
+              (Reference.analyze_column ~hist_buckets ~hist_kind t
+                 c.Schema.name))
+         t.Storage.Table.schema)
+
 let test_derive_select () =
   let cat = mk_emp_cat () in
   let db = Stats.Table_stats.analyze_catalog cat in
@@ -436,6 +613,7 @@ let () =
          Alcotest.test_case "hard case" `Quick test_distinct_hard_case ]);
       ("derive",
        [ Alcotest.test_case "analyze" `Quick test_analyze;
+         QCheck_alcotest.to_alcotest prop_analyze_matches_reference;
          Alcotest.test_case "selection" `Quick test_derive_select;
          Alcotest.test_case "conjunction modes" `Quick test_derive_conjunction_modes;
          Alcotest.test_case "join and group" `Quick test_derive_join_and_group;
